@@ -19,6 +19,7 @@ module Tab = Mm_util.Tab
 module Stat = Mm_util.Stat
 module Obs = Mm_util.Obs
 module Metrics = Mm_util.Metrics
+module Json = Mm_util.Json
 module Pc = Mm_workload.Paper_circuit
 module Presets = Mm_workload.Presets
 module Prelim = Mm_core.Prelim
@@ -164,28 +165,26 @@ let run_design (p : Presets.preset) =
 type scaling_row = { sc_jobs : int; sc_merge_s : float; sc_sta_s : float }
 
 let scaling_json ~design_name rows =
-  let jf = Metrics.json_float in
-  let base =
-    match rows with r :: _ -> r.sc_merge_s | [] -> 0.0
-  in
+  let base = match rows with r :: _ -> r.sc_merge_s | [] -> 0.0 in
   let row r =
-    Printf.sprintf
-      {|{"jobs":%d,"merge_s":%s,"sta_s":%s,"merge_speedup":%s}|}
-      r.sc_jobs (jf r.sc_merge_s) (jf r.sc_sta_s)
-      (jf (if r.sc_merge_s > 0.0 then base /. r.sc_merge_s else 0.0))
+    let speedup = if r.sc_merge_s > 0.0 then base /. r.sc_merge_s else 0.0 in
+    Json.(
+      Obj
+        [ "jobs", Int r.sc_jobs; "merge_s", display r.sc_merge_s;
+          "sta_s", display r.sc_sta_s; "merge_speedup", display speedup ])
   in
-  Printf.sprintf {|{"design":"%s","runs":[%s]}|}
-    (Metrics.json_escape design_name)
-    (String.concat "," (List.map row rows))
+  Json.(Obj [ "design", Str design_name; "runs", Arr (List.map row rows) ])
 
 (* The sweep itself: merge + per-mode STA at each jobs count. The
    workload and the results are identical at every point (the task
-   graph is deterministic); only the wall clock moves. On a single
-   hardware thread every point degenerates to sequential execution and
-   the recorded speedup is honestly ~1.0. *)
+   graph is deterministic); only the wall clock moves. Points above
+   the hardware thread count are dropped: there the domains
+   oversubscribe the cores and the time measures the scheduler, not
+   scaling. *)
 let scaling_sweep ~jobs_list ~name design modes =
   section
     (Printf.sprintf "Scaling: %s merge + STA sweep vs worker domains" name);
+  let hw = Domain.recommended_domain_count () in
   let t =
     Tab.create
       ~aligns:[ Tab.Right; Tab.Right; Tab.Right; Tab.Right ]
@@ -203,7 +202,7 @@ let scaling_sweep ~jobs_list ~name design modes =
               ignore (Sta.analyze_many ~pool design modes))
         in
         { sc_jobs = jobs; sc_merge_s = merge_s; sc_sta_s = sta_s })
-      jobs_list
+      (List.filter (fun jobs -> jobs <= hw) jobs_list)
   in
   let base = match rows with r :: _ -> r.sc_merge_s | [] -> 0.0 in
   List.iter
@@ -218,65 +217,36 @@ let scaling_sweep ~jobs_list ~name design modes =
         ])
     rows;
   Tab.print t;
-  Printf.printf
-    "(hardware threads available: %d; speedup saturates at that count)\n"
-    (Domain.recommended_domain_count ());
+  Printf.printf "(hardware threads: %d; jobs counts above it are not run)\n"
+    hw;
   rows
 
 let bench_json ~scaling ~sta ~service runs =
-  let jf = Metrics.json_float in
-  let b = Buffer.create 4096 in
+  let open Json in
   let row5 r =
-    Printf.sprintf
-      {|{"design":"%s","cells":%d,"n_individual":%d,"n_merged":%d,"reduction_percent":%s,"merge_runtime_s":%s}|}
-      (Metrics.json_escape r.dr_name)
-      r.dr_cells r.dr_flow.Merge_flow.n_individual
-      r.dr_flow.Merge_flow.n_merged
-      (jf r.dr_flow.Merge_flow.reduction_percent)
-      (jf r.dr_flow.Merge_flow.runtime_s)
+    Obj
+      [ "design", Str r.dr_name; "cells", Int r.dr_cells;
+        "n_individual", Int r.dr_flow.Merge_flow.n_individual;
+        "n_merged", Int r.dr_flow.Merge_flow.n_merged;
+        "reduction_percent", display r.dr_flow.Merge_flow.reduction_percent;
+        "merge_runtime_s", display r.dr_flow.Merge_flow.runtime_s ]
   in
+  let sta_reduction r = Stat.reduction_percent r.dr_sta_ind r.dr_sta_mrg in
   let row6 r =
-    Printf.sprintf
-      {|{"design":"%s","sta_individual_s":%s,"sta_merged_s":%s,"sta_reduction_percent":%s,"conformity":%s,"equivalent":%b,"quarantined":%d,"degraded_cliques":%d}|}
-      (Metrics.json_escape r.dr_name)
-      (jf r.dr_sta_ind) (jf r.dr_sta_mrg)
-      (jf (Stat.reduction_percent r.dr_sta_ind r.dr_sta_mrg))
-      (jf r.dr_conformity) r.dr_all_equivalent
-      (List.length r.dr_flow.Merge_flow.quarantined)
-      (List.length r.dr_flow.Merge_flow.degraded)
+    Obj
+      [ "design", Str r.dr_name; "sta_individual_s", display r.dr_sta_ind;
+        "sta_merged_s", display r.dr_sta_mrg;
+        "sta_reduction_percent", display (sta_reduction r);
+        "conformity", display r.dr_conformity; "equivalent", Bool r.dr_all_equivalent;
+        "quarantined", Int (List.length r.dr_flow.Merge_flow.quarantined);
+        "degraded_cliques", Int (List.length r.dr_flow.Merge_flow.degraded) ]
   in
-  Buffer.add_string b {|{"schema":"modemerge-bench/1","run":"paper_tables",|};
-  Buffer.add_string b
-    (Printf.sprintf {|"table5":[%s],|}
-       (String.concat "," (List.map row5 runs)));
-  Buffer.add_string b
-    (Printf.sprintf {|"table6":[%s],|}
-       (String.concat "," (List.map row6 runs)));
-  Buffer.add_string b
-    (Printf.sprintf
-       {|"summary":{"avg_reduction_percent":%s,"avg_sta_reduction_percent":%s,"avg_conformity":%s},|}
-       (jf (Stat.mean (List.map (fun r -> r.dr_flow.Merge_flow.reduction_percent) runs)))
-       (jf (Stat.mean (List.map (fun r -> Stat.reduction_percent r.dr_sta_ind r.dr_sta_mrg) runs)))
-       (jf (Stat.mean (List.map (fun r -> r.dr_conformity) runs))));
-  Buffer.add_string b (Printf.sprintf {|"scaling":%s,|} scaling);
-  (* STA microbench section: the compiled-arena payoff (compile-once
-     vs rebuild, full vs incremental re-analysis). "null" when the
-     invoking target did not run the microbench. *)
-  Buffer.add_string b (Printf.sprintf {|"sta":%s,|} sta);
-  (* Merge-service section: cold vs warm-cache submit latency and
-     queue throughput against an in-process daemon (DESIGN.md §16).
-     "null" when the invoking target did not run the service bench. *)
-  Buffer.add_string b (Printf.sprintf {|"service":%s,|} service);
-  (* The flight recorder's resource sections: whole-run GC totals and
-     the pool.* metric slice (new keys only — existing consumers of the
-     bench json are unaffected). *)
-  Buffer.add_string b
-    (Printf.sprintf {|"gc":{%s},|}
-       (String.concat ","
-          (List.map
-             (fun (k, v) ->
-               Printf.sprintf {|"%s":%s|} (Metrics.json_escape k) (jf v))
-             (Obs.gc_totals ()))));
+  let avg f = display (Stat.mean (List.map f runs)) in
+  let summary =
+    [ "avg_reduction_percent", avg (fun r -> r.dr_flow.Merge_flow.reduction_percent);
+      "avg_sta_reduction_percent", avg sta_reduction;
+      "avg_conformity", avg (fun r -> r.dr_conformity) ]
+  in
   let pool_items =
     List.filter
       (fun (i : Metrics.item) ->
@@ -284,17 +254,23 @@ let bench_json ~scaling ~sta ~service runs =
         && String.sub i.Metrics.name 0 5 = "pool.")
       (Metrics.snapshot ())
   in
-  Buffer.add_string b
-    (Printf.sprintf {|"pool":%s,|} (Metrics.json_of_items pool_items));
-  (* Obs.metrics_json is {"metrics":...,"spans":...} — embed verbatim. *)
-  Buffer.add_string b
-    (Printf.sprintf {|"observability":%s}|} (Obs.metrics_json ()));
-  Buffer.contents b
+  (* "sta" (the compiled-arena microbench) and "service" (the merge
+     service's latency and throughput, DESIGN.md §16) are null when the
+     invoking target did not run that bench; "gc" and "pool" are the
+     flight recorder's whole-run GC totals and pool.* metric slice. *)
+  to_string
+    (Obj
+       [ "schema", Str "modemerge-bench/1"; "run", Str "paper_tables";
+         "table5", Arr (List.map row5 runs); "table6", Arr (List.map row6 runs);
+         "summary", Obj summary; "scaling", scaling; "sta", sta; "service", service;
+         "gc", Obj (List.map (fun (k, v) -> k, display v) (Obs.gc_totals ()));
+         "pool", Metrics.json_of_items pool_items;
+         "observability", Obs.json_of_metrics () ])
 
 let bench_file = "BENCH_paper_tables.json"
 
-let write_bench_json ?(file = bench_file) ?(sta = "null") ?(service = "null")
-    ~scaling runs =
+let write_bench_json ?(file = bench_file) ?(sta = Json.Null)
+    ?(service = Json.Null) ~scaling runs =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
@@ -314,37 +290,49 @@ let write_bench_json ?(file = bench_file) ?(sta = "null") ?(service = "null")
   with _ -> ()
 
 (* Mandatory keys the bench trajectory (and CI's @bench-smoke) relies
-   on: a run that stops emitting one of these is a regression even if
-   it exits 0. *)
+   on, each as its '/'-separated path from the document root ("[]"
+   steps into every element of an array): a run that stops emitting
+   one of these is a regression even if it exits 0. *)
 let mandatory_keys =
   [
-    {|"table5"|}; {|"table6"|}; {|"merge_runtime_s"|}; {|"conformity"|};
-    {|"merge.cliques"|}; {|"sta.tags_propagated"|}; {|"spans"|};
-    {|"sta.analyze"|}; {|"scaling"|}; {|"merge_speedup"|}; {|"sta":|};
-    {|"gc":{|}; {|"gc.minor_words"|}; {|"pool":{|}; {|"pool.tasks_executed"|};
-    {|"pool.occupancy"|}; {|"service":|};
+    "table5"; "table6"; "table5/[]/merge_runtime_s"; "table6/[]/conformity";
+    "observability/metrics/merge.cliques";
+    "observability/metrics/sta.tags_propagated"; "observability/spans";
+    "observability/spans/sta.analyze"; "scaling";
+    "scaling/runs/[]/merge_speedup"; "sta"; "gc"; "gc/gc.minor_words"; "pool";
+    "pool/pool.tasks_executed"; "pool/pool.occupancy"; "service";
   ]
 
-let contains ~needle hay =
-  let nh = String.length needle and lh = String.length hay in
-  let rec go i = i + nh <= lh && (String.sub hay i nh = needle || go (i + 1)) in
-  go 0
+(* A path is present when every step resolves; an array step needs a
+   non-empty array whose every element carries the rest of the path. *)
+let rec has_path j = function
+  | [] -> true
+  | "[]" :: rest -> (
+    match j with
+    | Json.Arr (_ :: _ as items) -> List.for_all (fun v -> has_path v rest) items
+    | _ -> false)
+  | k :: rest -> (
+    match Json.member k j with Some v -> has_path v rest | None -> false)
+
+(* Parse a written JSON file (a malformed one fails the run) and list
+   the mandatory paths it lacks. *)
+let missing_keys file keys =
+  match Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+  | exception Json.Parse_error msg ->
+    Printf.eprintf "%s is not valid JSON: %s\n" file msg;
+    exit 1
+  | j ->
+    List.filter (fun k -> not (has_path j (String.split_on_char '/' k))) keys
 
 let validate_bench_json ?(file = bench_file) () =
-  let ic = open_in file in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let missing = List.filter (fun k -> not (contains ~needle:k s)) mandatory_keys in
-  if missing <> [] then begin
+  match missing_keys file mandatory_keys with
+  | [] ->
+    Printf.printf "%s: all %d mandatory keys present\n" file
+      (List.length mandatory_keys)
+  | missing ->
     Printf.eprintf "%s is missing mandatory keys: %s\n" file
       (String.concat ", " missing);
     exit 1
-  end;
-  Printf.printf "%s: all %d mandatory keys present\n" file
-    (List.length mandatory_keys)
 
 (* ------------------------------------------------------------------ *)
 (* STA microbench: the compiled-arena payoff (DESIGN.md section 14).   *)
@@ -442,24 +430,26 @@ let sta_measure (p : Presets.preset) =
   }
 
 let sta_json rows =
-  let jf = Metrics.json_float in
+  let open Json in
+  let compile r = sta_speedup r.st_rebuild_s r.st_reuse_s
+  and incremental r = sta_speedup r.st_full_s r.st_incr_s in
   let row r =
-    Printf.sprintf
-      {|{"design":"%s","pins":%d,"modes":%d,"rebuild_s":%s,"reuse_s":%s,"compile_speedup":%s,"full_s":%s,"incremental_s":%s,"incremental_speedup":%s}|}
-      (Metrics.json_escape r.st_name)
-      r.st_pins r.st_modes (jf r.st_rebuild_s) (jf r.st_reuse_s)
-      (jf (sta_speedup r.st_rebuild_s r.st_reuse_s))
-      (jf r.st_full_s) (jf r.st_incr_s)
-      (jf (sta_speedup r.st_full_s r.st_incr_s))
+    Obj
+      [ "design", Str r.st_name; "pins", Int r.st_pins; "modes", Int r.st_modes;
+        "rebuild_s", display r.st_rebuild_s; "reuse_s", display r.st_reuse_s;
+        "compile_speedup", display (compile r); "full_s", display r.st_full_s;
+        "incremental_s", display r.st_incr_s;
+        "incremental_speedup", display (incremental r) ]
   in
   let min_of get =
-    List.fold_left (fun acc r -> Float.min acc (get r)) infinity rows
+    display (List.fold_left (fun acc r -> Float.min acc (get r)) infinity rows)
   in
-  Printf.sprintf
-    {|{"rows":[%s],"summary":{"min_compile_speedup":%s,"min_incremental_speedup":%s}}|}
-    (String.concat "," (List.map row rows))
-    (jf (min_of (fun r -> sta_speedup r.st_rebuild_s r.st_reuse_s)))
-    (jf (min_of (fun r -> sta_speedup r.st_full_s r.st_incr_s)))
+  Obj
+    [ "rows", Arr (List.map row rows);
+      ( "summary",
+        Obj
+          [ "min_compile_speedup", min_of compile;
+            "min_incremental_speedup", min_of incremental ] ) ]
 
 let tables56 () =
   (* Tables 5/6 are the committed bench trajectory, so they run with
@@ -554,7 +544,7 @@ let tables56 () =
     ];
   Tab.print t6;
   (* Domain-scaling record for the committed trajectory: design A at
-     1/2/4/8 worker domains. *)
+     1/2/4/8 worker domains, up to the hardware thread count. *)
   let pa = List.hd Presets.all in
   let design_a, _info, modes_a = Presets.build pa in
   let rows =
@@ -586,7 +576,7 @@ let smoke () =
     r.dr_flow.Merge_flow.n_individual r.dr_flow.Merge_flow.n_merged
     r.dr_flow.Merge_flow.reduction_percent r.dr_conformity;
   (* Mini scaling record (two points) so the smoke json carries every
-     mandatory key; the full 1/2/4/8 sweep lives in the scaling target. *)
+     mandatory key; the full sweep lives in the scaling target. *)
   let rows = scaling_sweep ~jobs_list:[ 1; 2 ] ~name:"paper_circuit" d [ a; b ] in
   write_bench_json ~scaling:(scaling_json ~design_name:"paper_circuit" rows)
     ~sta:(sta_json [ sta_measure Presets.tiny ])
@@ -624,11 +614,7 @@ let audit_smoke () =
       output_string oc j1;
       output_char oc '\n');
   Printf.printf "wrote %s\n" audit_file;
-  let missing =
-    List.filter
-      (fun k -> not (contains ~needle:(Printf.sprintf "%S" k) j1))
-      Mm_core.Audit.mandatory_keys
-  in
+  let missing = missing_keys audit_file Mm_core.Audit.mandatory_keys in
   if missing <> [] then begin
     Printf.eprintf "audit json missing mandatory keys: %s\n"
       (String.concat ", " missing);
@@ -640,7 +626,8 @@ let audit_smoke () =
 
 (* ------------------------------------------------------------------ *)
 (* Standalone scaling target: design A merged and STA-swept at         *)
-(* 1/2/4/8 worker domains, recorded under "scaling" in the bench json.  *)
+(* 1/2/4/8 worker domains up to the hardware thread count, recorded    *)
+(* under "scaling" in the bench json.                                  *)
 
 let scaling_target () =
   Obs.set_enabled true;
@@ -1002,25 +989,22 @@ let bechamel_suite () =
 let service_measure () =
   let module Daemon = Mm_service.Daemon in
   let module Httpd = Mm_util.Httpd in
-  let module Runlog = Mm_util.Runlog in
   let d = Pc.build () in
   let a, b = Pc.constraint_set6 d in
   let design_text = Mm_netlist.Netlist_io.to_string d in
-  let q s = Printf.sprintf {|"%s"|} (Metrics.json_escape s) in
   let spec salt =
-    Printf.sprintf {|{"design":{"format":"nl","text":%s},"sources":[%s]}|}
-      (q design_text)
-      (String.concat ","
-         (List.mapi
-            (fun i m ->
-              let text =
-                Mm_sdc.Mode.to_sdc m
-                ^ if salt = "" then "" else "# " ^ salt ^ "\n"
-              in
-              Printf.sprintf {|{"name":%s,"text":%s}|}
-                (q (Printf.sprintf "set6_%c" (Char.chr (Char.code 'a' + i))))
-                (q text))
-            [ a; b ]))
+    let source i m =
+      ( Printf.sprintf "set6_%c" (Char.chr (Char.code 'a' + i)),
+        Mm_sdc.Mode.to_sdc m ^ if salt = "" then "" else "# " ^ salt ^ "\n" )
+    in
+    Mm_service.Job.spec_to_json
+      {
+        Mm_service.Job.sp_design_format = "nl";
+        sp_design_text = design_text;
+        sp_sources = List.mapi source [ a; b ];
+        sp_options = Mm_service.Job.default_options;
+        sp_priority = 0;
+      }
   in
   let daemon = Daemon.start { Daemon.default_config with dc_queue_cap = 64 } in
   Fun.protect
@@ -1031,20 +1015,20 @@ let service_measure () =
         let status, _, reply = Httpd.request ~meth:"POST" ~body ~port "/jobs" in
         if status <> 200 && status <> 202 then
           failwith (Printf.sprintf "submit failed: %d %s" status reply);
-        match Runlog.member "id" (Runlog.parse_json reply) with
-        | Some (Runlog.Str id) -> id
-        | _ -> failwith "submit reply carries no id"
+        match Json.str_member "id" (Json.parse reply) with
+        | Some id -> id
+        | None -> failwith "submit reply carries no id"
       in
       let wait id =
         let rec poll () =
           let _, _, body =
             Httpd.request ~port (Printf.sprintf "/jobs/%s" id)
           in
-          match Runlog.member "state" (Runlog.parse_json body) with
-          | Some (Runlog.Str ("queued" | "running")) ->
+          match Json.str_member "state" (Json.parse body) with
+          | Some ("queued" | "running") ->
             Unix.sleepf 0.002;
             poll ()
-          | Some (Runlog.Str "done") -> ()
+          | Some "done" -> ()
           | _ -> failwith (Printf.sprintf "job %s did not complete" id)
         in
         poll ()
@@ -1066,20 +1050,18 @@ let service_measure () =
             in
             List.iter wait ids)
       in
-      let jf = Metrics.json_float in
+      let speedup = cold_s /. Float.max warm_s 1e-9
+      and jobs_per_s = float_of_int queue_jobs /. queue_wall_s in
       Printf.printf
         "  cold submit %.4fs, warm (cache hit) %.4fs (%.0fx), %d queued jobs \
          in %.3fs (%.1f jobs/s)\n"
-        cold_s warm_s
-        (cold_s /. Float.max warm_s 1e-9)
-        queue_jobs queue_wall_s
-        (float_of_int queue_jobs /. queue_wall_s);
-      Printf.sprintf
-        {|{"cold_submit_s":%s,"warm_submit_s":%s,"warm_speedup":%s,"queue_jobs":%d,"queue_wall_s":%s,"queue_jobs_per_s":%s}|}
-        (jf cold_s) (jf warm_s)
-        (jf (cold_s /. Float.max warm_s 1e-9))
-        queue_jobs (jf queue_wall_s)
-        (jf (float_of_int queue_jobs /. queue_wall_s)))
+        cold_s warm_s speedup queue_jobs queue_wall_s jobs_per_s;
+      Json.(
+        Obj
+          [ "cold_submit_s", display cold_s; "warm_submit_s", display warm_s;
+            "warm_speedup", display speedup; "queue_jobs", Int queue_jobs;
+            "queue_wall_s", display queue_wall_s;
+            "queue_jobs_per_s", display jobs_per_s ]))
 
 let service_target () =
   section "Merge service: cold vs warm-cache latency, queue throughput";

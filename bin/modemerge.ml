@@ -1174,9 +1174,8 @@ let perf_cmd =
 (* Merge service: daemon + submit/status/fetch clients                 *)
 
 module Daemon = Mm_service.Daemon
-module Runlog_json = Mm_util.Runlog
-
-let jstr s = Printf.sprintf {|"%s"|} (Mm_util.Metrics.json_escape s)
+module Job = Mm_service.Job
+module Json = Mm_util.Json
 
 (* Raw write: fetched result files must land byte-identical, so no
    write_file newline courtesy here. *)
@@ -1209,17 +1208,10 @@ let http ?meth ?body ~addr ~port path =
       (Unix.error_message e)
   | exception Failure msg -> fatal ~code:"service.connect" "%s" msg
 
-let json_member name j = Runlog_json.member name j
-
-let json_str name j =
-  match json_member name j with
-  | Some (Runlog_json.Str s) -> Some s
-  | _ -> None
-
 let parse_body ~code body =
-  match Runlog_json.parse_json body with
+  match Json.parse body with
   | j -> j
-  | exception Runlog_json.Parse_error msg ->
+  | exception Json.Parse_error msg ->
     fatal ~code "malformed response: %s" msg
 
 let daemon_cmd =
@@ -1309,7 +1301,7 @@ let wait_for_job ~addr ~port id =
       fatal ~code:"service.status" "job %s lookup failed (%d): %s" id status
         (String.trim body);
     let j = parse_body ~code:"service.status" body in
-    match json_str "state" j with
+    match Json.str_member "state" j with
     | Some ("queued" | "running") ->
       Unix.sleepf 0.05;
       poll ()
@@ -1326,9 +1318,9 @@ let fetch_result ~addr ~port ~outdir id =
       (String.trim body);
   let manifest = parse_body ~code:"service.fetch" body in
   let files =
-    match json_member "files" manifest with
-    | Some (Runlog_json.Arr files) ->
-      List.filter_map (fun f -> json_str "name" f) files
+    match Json.member "files" manifest with
+    | Some (Json.Arr files) ->
+      List.filter_map (Json.str_member "name") files
     | _ -> fatal ~code:"service.fetch" "result manifest for %s has no files" id
   in
   if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
@@ -1375,22 +1367,15 @@ let submit_cmd =
     in
     let read path = In_channel.with_open_bin path In_channel.input_all in
     let body =
-      Printf.sprintf
-        {|{"design":{"format":%s,"text":%s},"sources":[%s],"options":{"policy":%s,"check_equivalence":true,"annotate":%b},"priority":%d}|}
-        (jstr design_format)
-        (jstr (read netlist))
-        (String.concat ","
-           (List.map
-              (fun path ->
-                Printf.sprintf {|{"name":%s,"text":%s}|}
-                  (jstr (mode_name_of_path path))
-                  (jstr (read path)))
-              sdcs))
-        (jstr
-           (match policy with
-           | Merge_flow.Strict -> "strict"
-           | Merge_flow.Permissive -> "permissive"))
-        annotate priority
+      Job.spec_to_json
+        {
+          Job.sp_design_format = design_format;
+          sp_design_text = read netlist;
+          sp_sources = List.map (fun p -> mode_name_of_path p, read p) sdcs;
+          sp_options =
+            { Job.default_options with opt_policy = policy; opt_annotate = annotate };
+          sp_priority = priority;
+        }
     in
     let status, headers, rbody = http ~meth:"POST" ~body ~addr ~port "/jobs" in
     (match status with
@@ -1404,28 +1389,28 @@ let submit_cmd =
         (String.trim rbody));
     let j = parse_body ~code:"service.submit" rbody in
     let id =
-      match json_str "id" j with
+      match Json.str_member "id" j with
       | Some id -> id
       | None -> fatal ~code:"service.submit" "response carries no job id"
     in
     Printf.printf "job %s %s%s\n" id
-      (Option.value ~default:"?" (json_str "state" j))
-      (match json_str "cache" j with
+      (Option.value ~default:"?" (Json.str_member "state" j))
+      (match Json.str_member "cache" j with
       | Some "hit" -> " (cache hit)"
       | _ -> "");
     let wait = wait || outdir <> None in
     if wait then begin
       let final = wait_for_job ~addr ~port id in
-      match json_str "state" final with
+      match Json.str_member "state" final with
       | Some "done" ->
-        (match json_member "summary" final with
+        (match Json.member "summary" final with
         | Some s ->
           Printf.printf "job %s done: %s modes -> %s\n" id
-            (match json_member "n_individual" s with
-            | Some (Runlog_json.Num n) -> string_of_int (int_of_float n)
+            (match Json.member "n_individual" s with
+            | Some (Json.Num n) -> string_of_int (int_of_float n)
             | _ -> "?")
-            (match json_member "n_merged" s with
-            | Some (Runlog_json.Num n) -> string_of_int (int_of_float n)
+            (match Json.member "n_merged" s with
+            | Some (Json.Num n) -> string_of_int (int_of_float n)
             | _ -> "?")
         | None -> Printf.printf "job %s done\n" id);
         Option.iter
@@ -1433,7 +1418,8 @@ let submit_cmd =
           outdir
       | Some state ->
         fatal ~code:"service.job" "job %s %s: %s" id state
-          (Option.value ~default:"(no error detail)" (json_str "error" final))
+          (Option.value ~default:"(no error detail)"
+             (Json.str_member "error" final))
       | None -> fatal ~code:"service.job" "job %s: malformed status" id
     end;
     finish ()

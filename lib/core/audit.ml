@@ -1,4 +1,5 @@
 module Diag = Mm_util.Diag
+module Json = Mm_util.Json
 module Metrics = Mm_util.Metrics
 module Prov = Mm_util.Prov
 
@@ -24,17 +25,15 @@ let coverage_counters =
     "merge.cliques";
   ]
 
-let str s = "\"" ^ Metrics.json_escape s ^ "\""
-let str_list l = "[" ^ String.concat "," (List.map str l) ^ "]"
-
 let summary_json (r : Merge_flow.result) =
-  Printf.sprintf
-    "{\"n_individual\":%d,\"n_merged\":%d,\"reduction_percent\":%s,\"cliques\":%d,\"quarantined\":%d,\"degraded\":%d}"
-    r.Merge_flow.n_individual r.Merge_flow.n_merged
-    (Metrics.json_float r.Merge_flow.reduction_percent)
-    (List.length r.Merge_flow.mergeability.Mergeability.cliques)
-    (List.length r.Merge_flow.quarantined)
-    (List.length r.Merge_flow.degraded)
+  Json.(
+    Obj
+      [ "n_individual", Int r.Merge_flow.n_individual;
+        "n_merged", Int r.Merge_flow.n_merged;
+        "reduction_percent", display r.Merge_flow.reduction_percent;
+        "cliques", Int (List.length r.Merge_flow.mergeability.Mergeability.cliques);
+        "quarantined", Int (List.length r.Merge_flow.quarantined);
+        "degraded", Int (List.length r.Merge_flow.degraded) ])
 
 (* Verdict matrix in canonical (i, j), i < j index order — never in
    hash-table order (DESIGN.md §11). *)
@@ -44,65 +43,56 @@ let mergeability_json (m : Mergeability.t) =
   let pairs = ref [] in
   for i = n - 1 downto 0 do
     for j = n - 1 downto i + 1 do
-      let mergeable = m.Mergeability.adjacency.(i).(j) in
       let reasons =
         match Hashtbl.find_opt m.Mergeability.pair_reasons (i, j) with
         | Some rs -> rs
         | None -> []
       in
-      let reason =
-        match reasons with [] -> "null" | r :: _ -> str r
-      in
       pairs :=
-        Printf.sprintf
-          "{\"a\":%s,\"b\":%s,\"mergeable\":%b,\"reason\":%s,\"reasons\":%s}"
-          (str names.(i)) (str names.(j)) mergeable reason (str_list reasons)
+        Json.(
+          Obj
+            [ "a", Str names.(i); "b", Str names.(j);
+              "mergeable", Bool m.Mergeability.adjacency.(i).(j);
+              "reason", option (fun r -> Str r) (List.nth_opt reasons 0);
+              "reasons", strings reasons ])
         :: !pairs
     done
   done;
-  Printf.sprintf
-    "{\"modes\":%s,\"cliques\":%s,\"pairs\":[%s]}"
-    (str_list (Array.to_list names))
-    ("["
-    ^ String.concat ","
-        (List.map
-           (fun c ->
-             "[" ^ String.concat "," (List.map string_of_int c) ^ "]")
-           m.Mergeability.cliques)
-    ^ "]")
-    (String.concat "," !pairs)
+  let clique c = Json.Arr (List.map (fun i -> Json.Int i) c) in
+  Json.(
+    Obj
+      [ "modes", strings (Array.to_list names);
+        "cliques", Arr (List.map clique m.Mergeability.cliques); "pairs", Arr !pairs ])
 
 let group_json (g : Merge_flow.group) =
-  let equiv =
-    match g.Merge_flow.grp_equiv with
-    | None -> "null"
-    | Some e ->
-      Printf.sprintf "{\"equivalent\":%b,\"mismatches\":%d}" e.Equiv.equivalent
-        e.Equiv.mismatches
+  let equiv (e : Equiv.report) =
+    Json.(
+      Obj
+        [ "equivalent", Bool e.Equiv.equivalent;
+          "mismatches", Int e.Equiv.mismatches ])
   in
-  let refinement =
-    match g.Merge_flow.grp_refine with
-    | None -> "null"
-    | Some r ->
-      Printf.sprintf
-        "{\"iterations\":%d,\"data_clock_fixes\":%d,\"added_false_paths\":%d}"
-        r.Refine.iterations
-        (List.length r.Refine.data_clock_fixes)
-        (List.length r.Refine.added_exceptions)
+  let refinement (r : Refine.t) =
+    Json.(
+      Obj
+        [ "iterations", Int r.Refine.iterations;
+          "data_clock_fixes", Int (List.length r.Refine.data_clock_fixes);
+          "added_false_paths", Int (List.length r.Refine.added_exceptions) ])
   in
-  Printf.sprintf
-    "{\"name\":%s,\"members\":%s,\"singleton\":%b,\"equivalence\":%s,\"refinement\":%s,\"lineage\":%s}"
-    (str g.Merge_flow.grp_mode.Mm_sdc.Mode.mode_name)
-    (str_list g.Merge_flow.grp_members)
-    (g.Merge_flow.grp_refine = None)
-    equiv refinement
-    (Prov.to_json g.Merge_flow.grp_prov)
+  Json.(
+    Obj
+      [ "name", Str g.Merge_flow.grp_mode.Mm_sdc.Mode.mode_name;
+        "members", strings g.Merge_flow.grp_members;
+        "singleton", Bool (g.Merge_flow.grp_refine = None);
+        "equivalence", option equiv g.Merge_flow.grp_equiv;
+        "refinement", option refinement g.Merge_flow.grp_refine;
+        "lineage", Prov.json g.Merge_flow.grp_prov ])
 
 let quarantined_json (q : Merge_flow.quarantined) =
-  Printf.sprintf "{\"name\":%s,\"stage\":%s,\"diags\":%s}"
-    (str q.Merge_flow.q_name)
-    (str (Merge_flow.stage_to_string q.Merge_flow.q_stage))
-    (Diag.render_json q.Merge_flow.q_diags)
+  Json.(
+    Obj
+      [ "name", Str q.Merge_flow.q_name;
+        "stage", Str (Merge_flow.stage_to_string q.Merge_flow.q_stage);
+        "diags", Arr (List.map Diag.json q.Merge_flow.q_diags) ])
 
 (* Only outcome-affecting governance decisions are reported here —
    transparent recoveries (retries, absorbed timeouts) live in the
@@ -110,47 +100,30 @@ let quarantined_json (q : Merge_flow.quarantined) =
    byte-identical to one that never faulted. *)
 let governance_json (g : Merge_flow.governed) =
   let event (e : Merge_flow.govern_event) =
-    Printf.sprintf
-      "{\"stage\":%s,\"scope\":%s,\"action\":%s,\"detail\":%s}"
-      (str e.Merge_flow.ge_stage) (str e.Merge_flow.ge_scope)
-      (str e.Merge_flow.ge_action) (str e.Merge_flow.ge_detail)
+    Json.string_map
+      [ "stage", e.Merge_flow.ge_stage; "scope", e.Merge_flow.ge_scope;
+        "action", e.Merge_flow.ge_action; "detail", e.Merge_flow.ge_detail ]
   in
-  Printf.sprintf
-    "{\"clique_splits\":%d,\"budget_quarantines\":%d,\"conservative_pairs\":%d,\"deadline_hit\":%b,\"events\":[%s]}"
-    g.Merge_flow.gov_clique_splits g.Merge_flow.gov_budget_quarantines
-    g.Merge_flow.gov_conservative_pairs g.Merge_flow.gov_deadline_hit
-    (String.concat "," (List.map event g.Merge_flow.gov_events))
-
-let coverage_json () =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun name ->
-           Printf.sprintf "%s:%d" (str name) (Metrics.get_counter name))
-         coverage_counters)
-  ^ "}"
+  Json.(
+    Obj
+      [ "clique_splits", Int g.Merge_flow.gov_clique_splits;
+        "budget_quarantines", Int g.Merge_flow.gov_budget_quarantines;
+        "conservative_pairs", Int g.Merge_flow.gov_conservative_pairs;
+        "deadline_hit", Bool g.Merge_flow.gov_deadline_hit;
+        "events", Arr (List.map event g.Merge_flow.gov_events) ])
 
 let to_json (r : Merge_flow.result) =
-  String.concat ""
-    [
-      "{\"audit_schema_version\":";
-      string_of_int schema_version;
-      ",\"summary\":";
-      summary_json r;
-      ",\"mergeability\":";
-      mergeability_json r.Merge_flow.mergeability;
-      ",\"groups\":[";
-      String.concat "," (List.map group_json r.Merge_flow.groups);
-      "],\"quarantined\":[";
-      String.concat "," (List.map quarantined_json r.Merge_flow.quarantined);
-      "],\"degraded\":[";
-      String.concat "," (List.map str_list r.Merge_flow.degraded);
-      "],\"governance\":";
-      governance_json r.Merge_flow.governed;
-      ",\"coverage\":";
-      coverage_json ();
-      "}";
-    ]
+  let coverage name = name, Json.Int (Metrics.get_counter name) in
+  Json.(
+    to_string
+      (Obj
+         [ "audit_schema_version", Int schema_version; "summary", summary_json r;
+           "mergeability", mergeability_json r.Merge_flow.mergeability;
+           "groups", Arr (List.map group_json r.Merge_flow.groups);
+           "quarantined", Arr (List.map quarantined_json r.Merge_flow.quarantined);
+           "degraded", Arr (List.map strings r.Merge_flow.degraded);
+           "governance", governance_json r.Merge_flow.governed;
+           "coverage", Obj (List.map coverage coverage_counters) ]))
 
 let write path r =
   let oc = open_out path in

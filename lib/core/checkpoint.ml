@@ -19,15 +19,6 @@ let has_stage t name = List.exists (fun s -> s.st_name = name) t.ck_stages
 
 let manifest_file dir = Filename.concat dir "MANIFEST"
 
-(* Atomic replace: a kill mid-write leaves the previous file intact. *)
-let write_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp path
-
 let read_whole path =
   let ic = open_in_bin path in
   Fun.protect
@@ -50,7 +41,10 @@ let render_manifest t =
     t.ck_stages;
   Buffer.contents b
 
-let flush_manifest t = write_atomic (manifest_file t.ck_dir) (render_manifest t)
+(* Atomic replace: a kill mid-write leaves the previous manifest
+   intact. *)
+let flush_manifest t =
+  Mm_util.Atomic_file.write (manifest_file t.ck_dir) (render_manifest t)
 
 let stage_path t s = Filename.concat t.ck_dir s.st_file
 
@@ -166,7 +160,7 @@ let load_for_resume ~dir ~fingerprint =
 let save_stage t ~stage ~counters v =
   let file = stage ^ ".bin" in
   let bytes = Marshal.to_string v [] in
-  write_atomic (Filename.concat t.ck_dir file) bytes;
+  Mm_util.Atomic_file.write (Filename.concat t.ck_dir file) bytes;
   Mm_util.Eventlog.log "checkpoint.saved"
     ~attrs:
       [ "stage", stage; "bytes", string_of_int (String.length bytes) ];

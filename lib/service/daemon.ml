@@ -4,7 +4,7 @@
 
 module Httpd = Mm_util.Httpd
 module Serve = Mm_util.Serve
-module Metrics = Mm_util.Metrics
+module Json = Mm_util.Json
 
 type config = {
   dc_addr : string;
@@ -37,49 +37,46 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* JSON rendering                                                      *)
 
-let json rs_status body =
-  Httpd.respond ~status:rs_status ~content_type:"application/json"
-    (body ^ "\n")
+(* Every reply is one JSON value plus a newline, printed into one
+   buffer. *)
+let reply ?(status = 200) ?headers v =
+  let b = Buffer.create 256 in
+  Json.to_buffer b v;
+  Buffer.add_char b '\n';
+  Httpd.respond ~status ?headers ~content_type:"application/json"
+    (Buffer.contents b)
 
-let error status msg =
-  json status
-    (Printf.sprintf {|{"error":"%s"}|} (Metrics.json_escape msg))
-
-let state_error (v : Scheduler.view) =
-  match v.Scheduler.v_state with
-  | Job.Failed msg | Job.Cancelled msg ->
-    Printf.sprintf {|,"error":"%s"|} (Metrics.json_escape msg)
-  | _ -> ""
+let error status msg = reply ~status (Json.Obj [ "error", Json.Str msg ])
 
 let files_json (o : Job.outcome) =
-  String.concat ","
-    (List.map
-       (fun (name, text) ->
-         Printf.sprintf {|{"name":"%s","bytes":%d}|}
-           (Metrics.json_escape name) (String.length text))
-       o.Job.oc_files)
+  let file (name, text) =
+    Json.(Obj [ "name", Str name; "bytes", Int (String.length text) ])
+  in
+  Json.Arr (List.map file o.Job.oc_files)
+
+let origin_json (v : Scheduler.view) =
+  Json.option (fun o -> Json.Str (Job.origin_to_string o)) v.Scheduler.v_origin
 
 let view_json (v : Scheduler.view) =
+  let error =
+    match v.Scheduler.v_state with
+    | Job.Failed msg | Job.Cancelled msg -> [ "error", Json.Str msg ]
+    | _ -> []
+  in
   let result =
     match v.Scheduler.v_outcome with
-    | None -> ""
+    | None -> []
     | Some o ->
-      Printf.sprintf {|,"summary":%s,"files":[%s]|}
-        (Job.summary_json o.Job.oc_summary)
-        (files_json o)
+      [ "summary", Job.json_of_summary o.Job.oc_summary; "files", files_json o ]
   in
-  Printf.sprintf
-    {|{"id":"%s","state":"%s","cache":%s,"priority":%d,"fingerprint":"%s","sources":%d,"wall_s":%s%s%s}|}
-    v.Scheduler.v_id
-    (Job.state_to_string v.Scheduler.v_state)
-    (match v.Scheduler.v_origin with
-    | None -> "null"
-    | Some o -> Printf.sprintf {|"%s"|} (Job.origin_to_string o))
-    v.Scheduler.v_priority v.Scheduler.v_fp v.Scheduler.v_n_sources
-    (match v.Scheduler.v_wall_s with
-    | None -> "null"
-    | Some w -> Metrics.json_float w)
-    (state_error v) result
+  Json.(
+    Obj
+      ([ "id", Str v.Scheduler.v_id;
+         "state", Str (Job.state_to_string v.Scheduler.v_state); "cache", origin_json v;
+         "priority", Int v.Scheduler.v_priority; "fingerprint", Str v.Scheduler.v_fp;
+         "sources", Int v.Scheduler.v_n_sources;
+         "wall_s", option display v.Scheduler.v_wall_s ]
+      @ error @ result))
 
 (* ------------------------------------------------------------------ *)
 (* Routes                                                              *)
@@ -100,26 +97,23 @@ let jobs_handler t (rq : Httpd.request) =
     | Ok spec -> (
       match Scheduler.submit t.sched spec with
       | Scheduler.Queue_full retry_s ->
-        Httpd.respond ~status:429 ~content_type:"application/json"
+        reply ~status:429
           ~headers:[ "Retry-After", string_of_int retry_s ]
-          (Printf.sprintf
-             {|{"error":"queue full","queue_cap":%d,"retry_after_s":%d}|}
-             (Scheduler.queue_cap t.sched) retry_s
-          ^ "\n")
+          Json.(
+            Obj
+              [ "error", Str "queue full"; "queue_cap", Int (Scheduler.queue_cap t.sched);
+                "retry_after_s", Int retry_s ])
       | Scheduler.Accepted v ->
         let status =
           if v.Scheduler.v_state = Job.Done then 200 else 202
         in
-        json status (view_json v)))
+        reply ~status (view_json v)))
   | ("GET" | "HEAD"), [] ->
-    json 200
-      (Printf.sprintf {|[%s]|}
-         (String.concat ","
-            (List.map view_json (Scheduler.list t.sched))))
+    reply (Json.Arr (List.map view_json (Scheduler.list t.sched)))
   | ("GET" | "HEAD"), [ id ] -> (
     match Scheduler.find t.sched id with
     | None -> error 404 (Printf.sprintf "unknown job %s" id)
-    | Some v -> json 200 (view_json v))
+    | Some v -> reply (view_json v))
   | ("GET" | "HEAD"), (id :: "result" :: rest as _path) -> (
     match Scheduler.find t.sched id with
     | None -> error 404 (Printf.sprintf "unknown job %s" id)
@@ -132,15 +126,12 @@ let jobs_handler t (rq : Httpd.request) =
       | Some o -> (
         match rest with
         | [] ->
-          json 200
-            (Printf.sprintf {|{"id":"%s","cache":%s,"summary":%s,"files":[%s]}|}
-               id
-               (match v.Scheduler.v_origin with
-               | None -> "null"
-               | Some og ->
-                 Printf.sprintf {|"%s"|} (Job.origin_to_string og))
-               (Job.summary_json o.Job.oc_summary)
-               (files_json o))
+          reply
+            Json.(
+              Obj
+                [ "id", Str id; "cache", origin_json v;
+                  "summary", Job.json_of_summary o.Job.oc_summary;
+                  "files", files_json o ])
         | [ file ] -> (
           match List.assoc_opt file o.Job.oc_files with
           | None -> error 404 (Printf.sprintf "no file %s in job %s" file id)
@@ -151,7 +142,7 @@ let jobs_handler t (rq : Httpd.request) =
         | _ -> Httpd.not_found)))
   | "DELETE", [ id ] -> (
     match Scheduler.cancel t.sched id with
-    | Ok v -> json 200 (view_json v)
+    | Ok v -> reply (view_json v)
     | Error msg ->
       let status =
         if Scheduler.find t.sched id = None then 404 else 409
@@ -168,32 +159,33 @@ let queue_handler t (rq : Httpd.request) =
   | "GET" | "HEAD" ->
     let views = Scheduler.list t.sched in
     let count st =
-      List.length
-        (List.filter
-           (fun v -> Job.state_to_string v.Scheduler.v_state = st)
-           views)
+      Json.Int
+        (List.length
+           (List.filter
+              (fun v -> Job.state_to_string v.Scheduler.v_state = st)
+              views))
     in
-    json 200
-      (Printf.sprintf
-         {|{"queued":%d,"running":%d,"done":%d,"failed":%d,"cancelled":%d,"queue_cap":%d,"jobs":[%s]}|}
-         (count "queued") (count "running") (count "done") (count "failed")
-         (count "cancelled")
-         (Scheduler.queue_cap t.sched)
-         (String.concat ","
-            (List.map
-               (fun v ->
-                 Printf.sprintf {|{"id":"%s","state":"%s","priority":%d}|}
-                   v.Scheduler.v_id
-                   (Job.state_to_string v.Scheduler.v_state)
-                   v.Scheduler.v_priority)
-               views)))
+    let job v =
+      Json.(
+        Obj
+          [ "id", Str v.Scheduler.v_id;
+            "state", Str (Job.state_to_string v.Scheduler.v_state);
+            "priority", Int v.Scheduler.v_priority ])
+    in
+    let states = [ "queued"; "running"; "done"; "failed"; "cancelled" ] in
+    reply
+      Json.(
+        Obj
+          (List.map (fun st -> st, count st) states
+          @ [ "queue_cap", Int (Scheduler.queue_cap t.sched);
+              "jobs", Arr (List.map job views) ]))
   | _ ->
     Httpd.respond ~status:405 ~headers:[ "Allow", "GET, HEAD" ]
       "method not allowed here\n"
 
 let cache_handler t (rq : Httpd.request) =
   match rq.Httpd.rq_method, subpath ~prefix:"/cache" rq.Httpd.rq_path with
-  | ("GET" | "HEAD"), [ "stats" ] -> json 200 (Rcache.stats_json t.rcache)
+  | ("GET" | "HEAD"), [ "stats" ] -> reply (Rcache.json_of_stats t.rcache)
   | ("GET" | "HEAD"), _ -> Httpd.not_found
   | _ ->
     Httpd.respond ~status:405 ~headers:[ "Allow", "GET, HEAD" ]

@@ -22,7 +22,7 @@
     - [DELETE /jobs/ID] — cancel (prompt for queued jobs, cooperative
       for the running one). 409 when already completed;
     - [GET /queue] — queue counts, capacity and per-job one-liners;
-    - [GET /cache/stats] — {!Rcache.stats_json}.
+    - [GET /cache/stats] — {!Rcache.json_of_stats}.
 
     Everything is JSON except the raw result files. Unknown ids are
     404. *)

@@ -1,10 +1,7 @@
-(* Job specs: the POST /jobs wire format and the state vocabulary.
-   Parsing reuses Runlog's hand-rolled JSON reader; rendering reuses
-   Metrics' JSON escaping, so the service adds no JSON machinery of
-   its own. *)
+(* Job specs: the POST /jobs wire format and the state vocabulary. *)
 
 module Merge_flow = Mm_core.Merge_flow
-module Runlog = Mm_util.Runlog
+module Json = Mm_util.Json
 
 type options = {
   opt_policy : Merge_flow.policy;
@@ -49,27 +46,25 @@ let fingerprint spec =
 
 let spec_of_json body =
   let ( let* ) = Result.bind in
-  let str = function Runlog.Str s -> Some s | _ -> None in
   let require name v =
     match v with Some x -> Ok x | None -> Error ("missing or invalid " ^ name)
   in
-  match Runlog.parse_json body with
-  | exception Runlog.Parse_error msg -> Error ("malformed JSON: " ^ msg)
+  match Json.parse body with
+  | exception Json.Parse_error msg -> Error ("malformed JSON: " ^ msg)
   | j ->
-    let* design = require {|"design"|} (Runlog.member "design" j) in
+    let* design = require {|"design"|} (Json.member "design" j) in
     let* design_text =
-      require {|"design.text"|}
-        (Option.bind (Runlog.member "text" design) str)
+      require {|"design.text"|} (Json.str_member "text" design)
     in
     let* design_format =
-      match Runlog.member "format" design with
+      match Json.member "format" design with
       | None -> Ok "nl"
-      | Some (Runlog.Str ("nl" | "v" as f)) -> Ok f
+      | Some (Json.Str ("nl" | "v" as f)) -> Ok f
       | Some _ -> Error {|unknown "design.format" (want "nl" or "v")|}
     in
     let* sources_j =
-      match Runlog.member "sources" j with
-      | Some (Runlog.Arr l) when l <> [] -> Ok l
+      match Json.member "sources" j with
+      | Some (Json.Arr l) when l <> [] -> Ok l
       | _ -> Error {|missing or empty "sources" array|}
     in
     let* sources =
@@ -77,49 +72,49 @@ let spec_of_json body =
         (fun acc s ->
           let* acc = acc in
           let* name =
-            require {|"sources[].name"|} (Option.bind (Runlog.member "name" s) str)
+            require {|"sources[].name"|} (Json.str_member "name" s)
           in
           let* text =
-            require {|"sources[].text"|} (Option.bind (Runlog.member "text" s) str)
+            require {|"sources[].text"|} (Json.str_member "text" s)
           in
           Ok ((name, text) :: acc))
         (Ok []) sources_j
     in
     let sources = List.rev sources in
-    let opts = Runlog.member "options" j in
-    let opt name = Option.bind opts (Runlog.member name) in
+    let opts = Json.member "options" j in
+    let opt name = Option.bind opts (Json.member name) in
     let* policy =
       match opt "policy" with
       | None -> Ok default_options.opt_policy
-      | Some (Runlog.Str "strict") -> Ok Merge_flow.Strict
-      | Some (Runlog.Str "permissive") -> Ok Merge_flow.Permissive
+      | Some (Json.Str "strict") -> Ok Merge_flow.Strict
+      | Some (Json.Str "permissive") -> Ok Merge_flow.Permissive
       | Some _ -> Error {|unknown "options.policy" (want "strict" or "permissive")|}
     in
     let* check_equivalence =
       match opt "check_equivalence" with
       | None -> Ok default_options.opt_check_equivalence
-      | Some (Runlog.Bool b) -> Ok b
+      | Some (Json.Bool b) -> Ok b
       | Some _ -> Error {|"options.check_equivalence" must be a boolean|}
     in
     let* tolerance =
       match opt "tolerance" with
       | None -> Ok None
       | Some t -> (
-        match Runlog.member "rel" t, Runlog.member "abs" t with
-        | Some (Runlog.Num rel), Some (Runlog.Num abs) ->
+        match Json.member "rel" t, Json.member "abs" t with
+        | Some (Json.Num rel), Some (Json.Num abs) ->
           Ok (Some { Mm_util.Toler.rel; abs })
         | _ -> Error {|"options.tolerance" wants {"rel": float, "abs": float}|})
     in
     let* annotate =
       match opt "annotate" with
       | None -> Ok default_options.opt_annotate
-      | Some (Runlog.Bool b) -> Ok b
+      | Some (Json.Bool b) -> Ok b
       | Some _ -> Error {|"options.annotate" must be a boolean|}
     in
     let* priority =
-      match Runlog.member "priority" j with
+      match Json.member "priority" j with
       | None -> Ok 0
-      | Some (Runlog.Num n) when Float.is_integer n -> Ok (int_of_float n)
+      | Some (Json.Num n) when Float.is_integer n -> Ok (int_of_float n)
       | Some _ -> Error {|"priority" must be an integer|}
     in
     Ok
@@ -136,6 +131,28 @@ let spec_of_json body =
           };
         sp_priority = priority;
       }
+
+let spec_to_json spec =
+  let open Json in
+  let o = spec.sp_options in
+  let tolerance =
+    match o.opt_tolerance with
+    | None -> []
+    | Some { Mm_util.Toler.rel; abs } ->
+      [ "tolerance", Obj [ "rel", exact rel; "abs", exact abs ] ]
+  in
+  let source (name, text) = Obj [ "name", Str name; "text", Str text ] in
+  let options =
+    [ "policy", Str (policy_to_string o.opt_policy);
+      "check_equivalence", Bool o.opt_check_equivalence ]
+    @ tolerance @ [ "annotate", Bool o.opt_annotate ]
+  in
+  to_string
+    (Obj
+       [ ( "design",
+           Obj [ "format", Str spec.sp_design_format; "text", Str spec.sp_design_text ] );
+         "sources", Arr (List.map source spec.sp_sources);
+         "options", Obj options; "priority", Int spec.sp_priority ])
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -189,13 +206,12 @@ let outcome_of_result ~annotate (r : Merge_flow.result) =
       };
   }
 
-let summary_json s =
-  let esc = Mm_util.Metrics.json_escape in
-  Printf.sprintf
-    {|{"n_individual":%d,"n_merged":%d,"reduction_percent":%s,"runtime_s":%s,"quarantined":[%s],"degraded":%d}|}
-    s.sm_n_individual s.sm_n_merged
-    (Mm_util.Metrics.json_float s.sm_reduction_percent)
-    (Mm_util.Metrics.json_float s.sm_runtime_s)
-    (String.concat ","
-       (List.map (fun q -> Printf.sprintf {|"%s"|} (esc q)) s.sm_quarantined))
-    s.sm_degraded
+let json_of_summary s =
+  Json.(
+    Obj
+      [ "n_individual", Int s.sm_n_individual; "n_merged", Int s.sm_n_merged;
+        "reduction_percent", display s.sm_reduction_percent;
+        "runtime_s", display s.sm_runtime_s;
+        "quarantined", strings s.sm_quarantined; "degraded", Int s.sm_degraded ])
+
+let summary_json s = Json.to_string (json_of_summary s)

@@ -43,6 +43,10 @@ val spec_of_json : string -> (spec, string) result
     [design.format] defaults to ["nl"]. [Error msg] on malformed
     JSON, a missing field or an unknown format/policy. *)
 
+val spec_to_json : spec -> string
+(** The [POST /jobs] body for a spec, every field written: the inverse
+    of {!spec_of_json}. *)
+
 (** {2 Lifecycle} *)
 
 type state =
@@ -84,5 +88,8 @@ type outcome = {
 
 val outcome_of_result : annotate:bool -> Mm_core.Merge_flow.result -> outcome
 
+val json_of_summary : summary -> Mm_util.Json.t
+
 val summary_json : summary -> string
-(** One JSON object (no trailing newline). *)
+(** {!json_of_summary} printed: one JSON object (no trailing
+    newline). *)

@@ -2,6 +2,7 @@
    All entry points lock one mutex; the work inside is O(entries) at
    worst (LRU eviction scan), tiny next to a merge. *)
 
+module Json = Mm_util.Json
 module Metrics = Mm_util.Metrics
 module Eventlog = Mm_util.Eventlog
 
@@ -43,15 +44,10 @@ let disk_write dir fp (outcome : Job.outcome) =
     Printf.sprintf "%s %s %s\n" disk_magic fp
       (Digest.to_hex (Digest.string payload))
   in
-  let path = disk_path dir fp in
-  let tmp = path ^ ".tmp" in
-  (try
-     Out_channel.with_open_bin tmp (fun oc ->
-         Out_channel.output_string oc header;
-         Out_channel.output_string oc payload);
-     Sys.rename tmp path
-   with Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ()));
-  ()
+  (* Advisory: a full or read-only disk leaves the memory tier
+     serving. *)
+  try Mm_util.Atomic_file.write (disk_path dir fp) (header ^ payload)
+  with Sys_error _ -> ()
 
 let disk_read dir fp : Job.outcome option =
   let path = disk_path dir fp in
@@ -146,7 +142,7 @@ let store t fp outcome =
             "tier", (if t.dir = None then "memory" else "memory+disk");
           ])
 
-let stats_json t =
+let json_of_stats t =
   Mutex.protect t.mu (fun () ->
       let disk_files =
         match t.dir with
@@ -159,14 +155,13 @@ let stats_json t =
               0 files
           | exception Sys_error _ -> 0)
       in
-      Printf.sprintf
-        {|{"entries":%d,"capacity":%d,"disk":%s,"disk_files":%d,"hits":%d,"misses":%d,"stores":%d,"evictions":%d}|}
-        (Hashtbl.length t.table) t.entries
-        (match t.dir with
-        | None -> "null"
-        | Some d -> Printf.sprintf {|"%s"|} (Metrics.json_escape d))
-        disk_files
-        (Metrics.get_counter "cache.hits")
-        (Metrics.get_counter "cache.misses")
-        (Metrics.get_counter "cache.stores")
-        (Metrics.get_counter "cache.evictions"))
+      Json.(
+        Obj
+          [ "entries", Int (Hashtbl.length t.table); "capacity", Int t.entries;
+            "disk", option (fun d -> Str d) t.dir; "disk_files", Int disk_files;
+            "hits", Int (Metrics.get_counter "cache.hits");
+            "misses", Int (Metrics.get_counter "cache.misses");
+            "stores", Int (Metrics.get_counter "cache.stores");
+            "evictions", Int (Metrics.get_counter "cache.evictions") ]))
+
+let stats_json t = Json.to_string (json_of_stats t)

@@ -32,6 +32,9 @@ val store : t -> string -> Job.outcome -> unit
 (** Insert, evicting the LRU entry if the memory layer is full, and
     persist to disk when enabled. Idempotent per fingerprint. *)
 
-val stats_json : t -> string
+val json_of_stats : t -> Mm_util.Json.t
 (** The [/cache/stats] body: entry count, capacity, disk state and the
     cumulative hit/miss/store/eviction counters (one JSON object). *)
+
+val stats_json : t -> string
+(** {!json_of_stats} printed. *)

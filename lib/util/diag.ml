@@ -45,41 +45,21 @@ let to_string d =
     (severity_to_string d.severity)
     d.code d.message
 
-(* Minimal JSON string escaping (we depend on no JSON library). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json d =
-  let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf {|{"severity":"%s","code":"%s"|}
-       (severity_to_string d.severity)
-       (json_escape d.code));
-  (match d.dloc with
-  | None -> ()
-  | Some { file; line; col } ->
-    Buffer.add_string b (Printf.sprintf {|,"file":"%s"|} (json_escape file));
-    if line > 0 then Buffer.add_string b (Printf.sprintf {|,"line":%d|} line);
-    if col > 0 then Buffer.add_string b (Printf.sprintf {|,"col":%d|} col));
-  Buffer.add_string b
-    (Printf.sprintf {|,"message":"%s"}|} (json_escape d.message));
-  Buffer.contents b
+let json d =
+  let positive k n = if n > 0 then [ k, Json.Int n ] else [] in
+  let loc =
+    match d.dloc with
+    | None -> []
+    | Some { file; line; col } ->
+      (("file", Json.Str file) :: positive "line" line) @ positive "col" col
+  in
+  Json.(
+    Obj
+      ([ "severity", Str (severity_to_string d.severity); "code", Str d.code ]
+      @ loc @ [ "message", Str d.message ]))
 
 let render_text ds = String.concat "\n" (List.map to_string ds)
-let render_json ds = "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+let render_json ds = Json.to_string (Json.Arr (List.map json ds))
 let messages ds = List.map (fun d -> d.message) ds
 
 let max_severity = function

@@ -48,7 +48,7 @@ val to_string : t -> string
 (** [file:line:col: severity[code]: msg]; unknown location parts are
     omitted ([file: severity[code]: msg], [severity[code]: msg]). *)
 
-val to_json : t -> string
+val json : t -> Json.t
 (** One JSON object, e.g.
     [{"severity":"error","code":"sdc.parse","file":"a.sdc","line":3,"col":1,"message":"..."}] *)
 
@@ -56,7 +56,7 @@ val render_text : t list -> string
 (** One {!to_string} line per diagnostic. *)
 
 val render_json : t list -> string
-(** JSON array of {!to_json} objects. *)
+(** JSON array of {!json} objects. *)
 
 val messages : t list -> string list
 (** Messages only, in order — the legacy [string list] warning shape. *)

@@ -114,27 +114,21 @@ let reset () =
       Hashtbl.reset st.kind_counts)
 
 let event_json e =
-  let esc = Metrics.json_escape in
-  let attrs =
-    match e.ev_attrs with
-    | [] -> ""
-    | attrs ->
-      String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (esc k) (esc v))
-           attrs)
-  in
-  (* ts needs microsecond wall-clock resolution, which the 9-significant
-     -digit Metrics.json_float would truncate away on epoch seconds. *)
-  Printf.sprintf {|{"seq":%d,"ts":%.6f,"t_ns":%Ld,"kind":"%s","attrs":{%s}}|}
-    e.ev_seq
-    (if Float.is_finite e.ev_ts then e.ev_ts else 0.)
-    e.ev_t_ns (esc e.ev_kind) attrs
+  (* [ts] takes the stamp rule: microsecond wall-clock resolution,
+     which the display rule's nine digits would truncate away on epoch
+     seconds. *)
+  Json.(
+    to_string
+      (Obj
+         [ "seq", Int e.ev_seq; "ts", stamp e.ev_ts; "t_ns", Int (Int64.to_int e.ev_t_ns);
+           "kind", Str e.ev_kind; "attrs", string_map e.ev_attrs ]))
 
 let to_ndjson ?limit () =
-  let events = recent ?limit () in
   let header =
-    Printf.sprintf {|{"schema":"%s","total":%d,"dropped":%d}|} schema_version
-      (total ()) (dropped ())
+    Json.(
+      to_string
+        (Obj
+           [ "schema", Str schema_version; "total", Int (total ());
+             "dropped", Int (dropped ()) ]))
   in
-  String.concat "\n" (header :: List.map event_json events) ^ "\n"
+  String.concat "\n" (header :: List.map event_json (recent ?limit ())) ^ "\n"

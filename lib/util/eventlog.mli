@@ -81,6 +81,9 @@ val counts : unit -> (string * int) list
 val reset : unit -> unit
 (** Drop every event and zero the cumulative counters (tests). *)
 
+val event_json : event -> string
+(** One event as a single-line JSON object (one NDJSON row). *)
+
 val to_ndjson : ?limit:int -> unit -> string
 (** Schema-versioned NDJSON export: a header line
     [{"schema":"modemerge-events/1","total":n,"dropped":d}] followed by

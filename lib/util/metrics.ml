@@ -130,23 +130,7 @@ let restore_counters cs =
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float x = if Float.is_finite x then Printf.sprintf "%.9g" x else "0"
+let json_escape = Json.escape
 
 (* Guarded against an empty reservoir (a histogram restored from a
    snapshot, or constructed by hand in tests): Stat.percentile already
@@ -155,24 +139,21 @@ let json_float x = if Float.is_finite x then Printf.sprintf "%.9g" x else "0"
 let percentile h q = match h.h_samples with [] -> 0. | s -> Stat.percentile q s
 
 let json_of_value = function
-  | Counter n -> string_of_int n
-  | Gauge x -> json_float x
+  | Counter n -> Json.Int n
+  | Gauge x -> Json.display x
   | Histogram h ->
-    Printf.sprintf
-      {|{"count":%d,"sum":%s,"min":%s,"max":%s,"mean":%s,"p50":%s,"p90":%s,"p99":%s}|}
-      h.h_count (json_float h.h_sum) (json_float h.h_min) (json_float h.h_max)
-      (json_float (if h.h_count = 0 then 0. else h.h_sum /. float_of_int h.h_count))
-      (json_float (percentile h 0.50))
-      (json_float (percentile h 0.90))
-      (json_float (percentile h 0.99))
+    let mean = if h.h_count = 0 then 0. else h.h_sum /. float_of_int h.h_count in
+    let q p = Json.display (percentile h p) in
+    Json.(
+      Obj
+        [ "count", Int h.h_count; "sum", display h.h_sum; "min", display h.h_min;
+          "max", display h.h_max; "mean", display mean;
+          "p50", q 0.50; "p90", q 0.90; "p99", q 0.99 ])
 
 let json_of_items items =
-  let field { name; value } =
-    Printf.sprintf {|"%s":%s|} (json_escape name) (json_of_value value)
-  in
-  "{" ^ String.concat "," (List.map field items) ^ "}"
+  Json.Obj (List.map (fun { name; value } -> name, json_of_value value) items)
 
-let to_json () = json_of_items (snapshot ())
+let to_json () = Json.to_string (json_of_items (snapshot ()))
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition (v0.0.4)                                 *)

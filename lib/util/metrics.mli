@@ -90,7 +90,8 @@ val restore_counters : (string * int) list -> unit
 (** {2 JSON rendering}
 
     The registry renders as one flat object keyed by metric name:
-    counters as integers, gauges as numbers, histograms as
+    counters as integers, gauges as numbers ({!Json.display}; a
+    non-finite value as [null]), histograms as
     [{"count":n,"sum":s,"min":a,"max":b,"mean":m,"p50":…,"p90":…,"p99":…}]
     where the percentiles are nearest-rank values over the retained
     reservoir — exact below {!max_samples} observations, a documented
@@ -98,7 +99,9 @@ val restore_counters : (string * int) list -> unit
 
 val to_json : unit -> string
 
-val json_of_items : item list -> string
+val json_of_items : item list -> Json.t
+(** The same object for any slice of the registry (the bench embeds
+    the [pool.*] slice). *)
 
 (** {2 Prometheus rendering}
 
@@ -121,11 +124,6 @@ val percentile : histogram -> float -> float
     {!Stat.percentile}) of the histogram's retained samples; [0.] for
     an empty histogram. *)
 
-(** {2 JSON helpers shared with {!Obs}} *)
-
 val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
-
-val json_float : float -> string
-(** Render a float as a JSON number; non-finite values become [0] so an
-    exported file never contains [nan]/[inf] tokens. *)
+(** {!Json.escape}, kept under its old name for the benchmark
+    harness. *)

@@ -311,49 +311,41 @@ let trace_event_json () =
   let tids =
     List.sort_uniq compare (List.map (fun s -> s.sp_tid) ss)
   in
-  let meta =
-    Printf.sprintf
-      {|{"name":"process_name","ph":"M","pid":0,"args":{"name":"modemerge"}}|}
-    :: List.map
-         (fun tid ->
-           Printf.sprintf
-             {|{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"domain %d%s"}}|}
-             tid tid
-             (if tid = 0 then " (driver)" else " (pool worker)"))
-         tids
+  let meta name extra label =
+    Json.(
+      Obj
+        ([ "name", Str name; "ph", Str "M"; "pid", Int 0 ]
+        @ extra @ [ "args", string_map [ "name", label ] ]))
+  in
+  let thread tid =
+    meta "thread_name" [ "tid", Json.Int tid ]
+      (Printf.sprintf "domain %d%s" tid
+         (if tid = 0 then " (driver)" else " (pool worker)"))
   in
   let event s =
-    let args =
-      match s.sp_attrs with
-      | [] -> ""
-      | attrs ->
-        let field (k, v) =
-          Printf.sprintf {|"%s":"%s"|} (Metrics.json_escape k)
-            (Metrics.json_escape v)
-        in
-        Printf.sprintf {|,"args":{%s}|}
-          (String.concat "," (List.map field attrs))
-    in
-    Printf.sprintf
-      {|{"name":"%s","cat":"modemerge","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d%s}|}
-      (Metrics.json_escape s.sp_name)
-      (Metrics.json_float (us (Int64.sub s.sp_start_ns base)))
-      (Metrics.json_float (us s.sp_dur_ns))
-      s.sp_tid args
+    let args = if s.sp_attrs = [] then [] else [ "args", Json.string_map s.sp_attrs ] in
+    Json.(
+      Obj
+        ([ "name", Str s.sp_name; "cat", Str "modemerge"; "ph", Str "X";
+           "ts", display (us (Int64.sub s.sp_start_ns base));
+           "dur", display (us s.sp_dur_ns); "pid", Int 0; "tid", Int s.sp_tid ]
+        @ args))
   in
   (* Counter tracks ("ph":"C"): one series per sample name — pool
      occupancy, queue depth, heap watermark — rendered by Perfetto as
      counter lanes alongside the span lanes. *)
   let counter (name, t, v) =
-    Printf.sprintf
-      {|{"name":"%s","cat":"modemerge","ph":"C","ts":%s,"pid":0,"args":{"value":%s}}|}
-      (Metrics.json_escape name)
-      (Metrics.json_float (us (Int64.sub t base)))
-      (Metrics.json_float v)
+    Json.(
+      Obj
+        [ "name", Str name; "cat", Str "modemerge"; "ph", Str "C";
+          "ts", display (us (Int64.sub t base)); "pid", Int 0;
+          "args", Obj [ "value", display v ] ])
   in
-  Printf.sprintf {|{"traceEvents":[%s],"displayTimeUnit":"ms"}|}
-    (String.concat ","
-       (meta @ List.map event ss @ List.map counter cs))
+  let events =
+    (meta "process_name" [] "modemerge" :: List.map thread tids)
+    @ List.map event ss @ List.map counter cs
+  in
+  Json.(to_string (Obj [ "traceEvents", Arr events; "displayTimeUnit", Str "ms" ]))
 
 (* Per-name aggregates for the flat export: nodes of the same span name
    merged across paths. *)
@@ -379,12 +371,14 @@ let span_summaries () =
       name, count, Clock.ns_to_s total, Clock.ns_to_s self)
     (List.sort String.compare !order)
 
-let metrics_json () =
-  let span_field (name, calls, total_s, self_s) =
-    Printf.sprintf {|"%s":{"calls":%d,"total_s":%s,"self_s":%s}|}
-      (Metrics.json_escape name) calls
-      (Metrics.json_float total_s)
-      (Metrics.json_float self_s)
+let json_of_metrics () =
+  let span (name, calls, total_s, self_s) =
+    Json.(
+      ( name,
+        Obj [ "calls", Int calls; "total_s", display total_s; "self_s", display self_s ] ))
   in
-  Printf.sprintf {|{"metrics":%s,"spans":{%s}}|} (Metrics.to_json ())
-    (String.concat "," (List.map span_field (span_summaries ())))
+  Json.Obj
+    [ "metrics", Metrics.json_of_items (Metrics.snapshot ());
+      "spans", Json.Obj (List.map span (span_summaries ())) ]
+
+let metrics_json () = Json.to_string (json_of_metrics ())

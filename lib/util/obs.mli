@@ -189,7 +189,10 @@ val span_summaries : unit -> (string * int * float * float) list
     [(name, calls, total_s, self_s)]. The flat view behind
     {!metrics_json} and the {!Runlog} history records. *)
 
-val metrics_json : unit -> string
+val json_of_metrics : unit -> Json.t
 (** Flat machine-readable snapshot:
     [{"metrics":{...},"spans":{name:{"calls":n,"total_s":t,"self_s":s}}}]
     — the {!Metrics} registry plus per-span-name duration aggregates. *)
+
+val metrics_json : unit -> string
+(** {!json_of_metrics} printed. *)

@@ -182,15 +182,11 @@ let snapshot () =
 let to_json () =
   let trackers = snapshot () in
   let tr t =
-    Printf.sprintf
-      {|{"name":"%s","done":%d,"total":%d,"elapsed_s":%s,"eta_s":%s,"finished":%b}|}
-      (Metrics.json_escape t.tr_name)
-      t.tr_done t.tr_total
-      (Metrics.json_float t.tr_elapsed_s)
-      (match t.tr_eta_s with
-      | None -> "null"
-      | Some e -> Metrics.json_float e)
-      t.tr_finished
+    Json.(
+      Obj
+        [ "name", Str t.tr_name; "done", Int t.tr_done; "total", Int t.tr_total;
+          "elapsed_s", display t.tr_elapsed_s; "eta_s", option display t.tr_eta_s;
+          "finished", Bool t.tr_finished ])
   in
   (* Overall view: the three merge stages summed — the coarse "how far
      through the merge are we" number a dashboard wants first. *)
@@ -201,11 +197,11 @@ let to_json () =
           [ "merge.load"; "merge.mergeability"; "merge.cliques" ])
       trackers
   in
-  let sum f = List.fold_left (fun a t -> a + f t) 0 stages in
-  Printf.sprintf
-    {|{"trackers":[%s],"overall":{"stages_done":%d,"stages_total":%d,"units_done":%d,"units_total":%d}}|}
-    (String.concat "," (List.map tr trackers))
-    (List.length (List.filter (fun t -> t.tr_finished) stages))
-    (List.length stages)
-    (sum (fun t -> t.tr_done))
-    (sum (fun t -> t.tr_total))
+  let sum f = Json.Int (List.fold_left (fun a t -> a + f t) 0 stages) in
+  let overall =
+    [ "stages_done", sum (fun t -> Bool.to_int t.tr_finished);
+      "stages_total", Json.Int (List.length stages);
+      "units_done", sum (fun t -> t.tr_done); "units_total", sum (fun t -> t.tr_total) ]
+  in
+  Json.(
+    to_string (Obj [ "trackers", Arr (List.map tr trackers); "overall", Obj overall ]))

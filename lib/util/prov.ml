@@ -117,24 +117,15 @@ let explain_entry e =
     e.pv_notes;
   Buffer.contents b
 
-let entry_to_json e =
-  let str s = Printf.sprintf {|"%s"|} (Metrics.json_escape s) in
-  let strs l = "[" ^ String.concat "," (List.map str l) ^ "]" in
-  let ev_obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf {|%s:%s|} (str k) (str v)) fields)
-    ^ "}"
-  in
-  Printf.sprintf
-    {|{"id":%s,"line":%s,"origin":%s,"modes":%s,"evidence":[%s],"notes":%s}|}
-    (str e.pv_id) (str e.pv_line)
-    (str (origin_to_string e.pv_origin))
-    (strs e.pv_modes)
-    (String.concat "," (List.map ev_obj e.pv_evidence))
-    (strs e.pv_notes)
+let entry_json e =
+  Json.(
+    Obj
+      [ "id", Str e.pv_id; "line", Str e.pv_line;
+        "origin", Str (origin_to_string e.pv_origin); "modes", strings e.pv_modes;
+        "evidence", Arr (List.map string_map e.pv_evidence);
+        "notes", strings e.pv_notes ])
 
-let to_json t =
-  Printf.sprintf {|{"scope":"%s","entries":[%s]}|}
-    (Metrics.json_escape t.scope)
-    (String.concat "," (List.map entry_to_json (entries t)))
+let json t =
+  Json.(Obj [ "scope", Str t.scope; "entries", Arr (List.map entry_json (entries t)) ])
+
+let to_json t = Json.to_string (json t)

@@ -1,171 +1,20 @@
 (* Run history and the statistical regression gate (DESIGN.md §13).
-   Self-contained on purpose: records are JSONL with a hand-rolled
-   writer and a minimal recursive-descent reader, so the history
-   format has no dependency the rest of the tool doesn't already
-   carry. *)
+   Records are JSONL lines written and read through Json; floats use
+   its exact rule, so every value reads back bit-for-bit. *)
 
 let schema_version = "modemerge-runlog/1"
 let default_dir = Filename.concat ".modemerge" "history"
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader — just enough for our own writer's output, but
-   tolerant of field order and unknown fields so schema growth stays
-   backward-readable. *)
+type json = Json.t = Null | Bool of bool | Int of int | Num of float
+  | Str of string | Arr of json list | Obj of (string * json) list
+  | Rounded of Json.rule * float
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+exception Parse_error = Json.Parse_error
 
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      incr pos;
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' ->
-          incr pos;
-          Buffer.contents b
-        | '\\' ->
-          incr pos;
-          if !pos >= n then fail "bad escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-            if !pos + 4 >= n then fail "bad \\u escape";
-            (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-            | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-            | Some _ -> Buffer.add_char b '?' (* metric names are ASCII *)
-            | None -> fail "bad \\u escape");
-            pos := !pos + 4
-          | _ -> fail "bad escape");
-          incr pos;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            members ()
-          | Some '}' -> incr pos
-          | _ -> fail "expected ',' or '}'"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr pos;
-        Arr []
-      end
-      else begin
-        let items = ref [] in
-        let rec elems () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            elems ()
-          | Some ']' -> incr pos
-          | _ -> fail "expected ',' or ']'"
-        in
-        elems ();
-        Arr (List.rev !items)
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing input";
-  v
-
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-let to_str = function Str s -> Some s | _ -> None
-let to_num = function Num f -> Some f | _ -> None
+let parse_json = Json.parse
+let member = Json.member
+let to_str = function Json.Str s -> Some s | _ -> None
+let to_num = function Json.Num f -> Some f | _ -> None
 let to_int j = Option.map int_of_float (to_num j)
 
 (* ------------------------------------------------------------------ *)
@@ -261,88 +110,62 @@ let capture ~label ~jobs () =
 (* JSONL round-trip                                                    *)
 
 let to_json r =
-  let esc = Metrics.json_escape in
-  (* Unlike the display-oriented Metrics.json_float (9 significant
-     digits), history values must survive the round-trip exactly:
-     epoch timestamps already need 11 digits for sub-second
-     precision. Shortest representation that parses back equal. *)
-  let fl x =
-    if not (Float.is_finite x) then "0"
-    else
-      let s = Printf.sprintf "%.15g" x in
-      if float_of_string s = x then s else Printf.sprintf "%.17g" x
-  in
+  let open Json in
   let span ss =
-    Printf.sprintf {|"%s":{"calls":%d,"total_s":%s,"self_s":%s}|}
-      (esc ss.ss_name) ss.ss_calls (fl ss.ss_total_s) (fl ss.ss_self_s)
+    ( ss.ss_name,
+      Obj
+        [ "calls", Int ss.ss_calls; "total_s", exact ss.ss_total_s;
+          "self_s", exact ss.ss_self_s ] )
   in
-  let int_field (k, v) = Printf.sprintf {|"%s":%d|} (esc k) v in
-  let num_field (k, v) = Printf.sprintf {|"%s":%s|} (esc k) (fl v) in
-  Printf.sprintf
-    {|{"schema":"%s","label":"%s","ts":%s,"git_rev":"%s","jobs":%d,"spans":{%s},"counters":{%s},"gauges":{%s},"gc":{%s},"events":{%s}}|}
-    (esc r.r_schema) (esc r.r_label) (fl r.r_ts) (esc r.r_git_rev) r.r_jobs
-    (String.concat "," (List.map span r.r_spans))
-    (String.concat "," (List.map int_field r.r_counters))
-    (String.concat "," (List.map num_field r.r_gauges))
-    (String.concat "," (List.map num_field r.r_gc))
-    (String.concat "," (List.map int_field r.r_events))
+  let ints l = Obj (List.map (fun (k, v) -> k, Int v) l) in
+  let nums l = Obj (List.map (fun (k, v) -> k, exact v) l) in
+  to_string
+    (Obj
+       [ "schema", Str r.r_schema; "label", Str r.r_label; "ts", exact r.r_ts;
+         "git_rev", Str r.r_git_rev; "jobs", Int r.r_jobs;
+         "spans", Obj (List.map span r.r_spans);
+         "counters", ints r.r_counters; "gauges", nums r.r_gauges;
+         "gc", nums r.r_gc; "events", ints r.r_events ])
 
 let of_json_string line =
-  match parse_json line with
-  | exception Parse_error _ -> None
+  match Json.parse line with
+  | exception Json.Parse_error _ -> None
+  | j when Json.member "schema" j = None -> None
   | j ->
-    let str k d = Option.value ~default:d (Option.bind (member k j) to_str) in
-    let num k d = Option.value ~default:d (Option.bind (member k j) to_num) in
-    let int k d = Option.value ~default:d (Option.bind (member k j) to_int) in
-    let obj_fields k =
-      match member k j with Some (Obj fields) -> fields | _ -> []
+    let get conv v k d =
+      Option.value ~default:d (Option.bind (Json.member k v) conv)
     in
-    let spans =
-      List.filter_map
-        (fun (name, v) ->
-          match v with
-          | Obj _ ->
-            Some
-              {
-                ss_name = name;
-                ss_calls =
-                  Option.value ~default:0 (Option.bind (member "calls" v) to_int);
-                ss_total_s =
-                  Option.value ~default:0.
-                    (Option.bind (member "total_s" v) to_num);
-                ss_self_s =
-                  Option.value ~default:0.
-                    (Option.bind (member "self_s" v) to_num);
-              }
-          | _ -> None)
-        (obj_fields "spans")
+    (* The fields of object [k] that [conv] accepts. *)
+    let fields k conv =
+      match Json.member k j with
+      | Some (Json.Obj fs) ->
+        List.filter_map
+          (fun (name, v) -> Option.map (fun x -> name, x) (conv v))
+          fs
+      | _ -> []
     in
-    let nums k =
-      List.filter_map
-        (fun (name, v) -> Option.map (fun f -> name, f) (to_num v))
-        (obj_fields k)
+    let span = function
+      | Json.Obj _ as v ->
+        Some (get to_int v "calls" 0, get to_num v "total_s" 0., get to_num v "self_s" 0.)
+      | _ -> None
     in
-    let ints k =
-      List.filter_map
-        (fun (name, v) -> Option.map (fun i -> name, i) (to_int v))
-        (obj_fields k)
-    in
-    let counters = ints "counters" in
-    if member "schema" j = None then None
-    else
-      Some
-        {
-          r_schema = str "schema" "";
-          r_label = str "label" "";
-          r_ts = num "ts" 0.;
-          r_git_rev = str "git_rev" "unknown";
-          r_jobs = int "jobs" 1;
-          r_spans = spans;
-          r_counters = counters;
-          r_gauges = nums "gauges";
-          r_gc = nums "gc";
-          r_events = ints "events";
-        }
+    Some
+      {
+        r_schema = get to_str j "schema" "";
+        r_label = get to_str j "label" "";
+        r_ts = get to_num j "ts" 0.;
+        r_git_rev = get to_str j "git_rev" "unknown";
+        r_jobs = get to_int j "jobs" 1;
+        r_spans =
+          List.map
+            (fun (ss_name, (ss_calls, ss_total_s, ss_self_s)) ->
+              { ss_name; ss_calls; ss_total_s; ss_self_s })
+            (fields "spans" span);
+        r_counters = fields "counters" to_int;
+        r_gauges = fields "gauges" to_num;
+        r_gc = fields "gc" to_num;
+        r_events = fields "events" to_int;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* History files                                                       *)

@@ -18,10 +18,10 @@
     turns {!has_regression} into a nonzero exit code; the [@perf-smoke]
     dune alias golden-tests both directions.
 
-    Everything here is deliberately self-contained: records are
-    written by a hand-rolled JSON printer and read back by a minimal
-    recursive-descent parser ({!parse_json}) that tolerates unknown
-    fields, so the format can grow without breaking old readers. *)
+    Records are written and read through {!Json}: floats use its exact
+    rule (they read back bit-for-bit, non-finite values as [null]),
+    and the parser tolerates unknown fields, so the format can grow
+    without breaking old readers. *)
 
 val schema_version : string
 (** ["modemerge-runlog/1"] — stamped into every record; {!load} skips
@@ -32,26 +32,17 @@ val default_dir : string
 
 (** {2 JSON values}
 
-    Exposed (rather than hidden behind the record type) because the
-    perf smoke tests validate raw history lines structurally. *)
+    Re-exports of {!Json}, kept under their old names for readers
+    outside this library. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+type json = Json.t = Null | Bool of bool | Int of int | Num of float
+  | Str of string | Arr of json list | Obj of (string * json) list
+  | Rounded of Json.rule * float
 
 exception Parse_error of string
 
 val parse_json : string -> json
-(** Parse one JSON document; raises {!Parse_error} on malformed input
-    (including trailing garbage). Numbers are floats; [\u] escapes
-    beyond ASCII decode as ['?'] (metric and span names are ASCII). *)
-
 val member : string -> json -> json option
-(** Field lookup on an [Obj]; [None] otherwise. *)
 
 (** {2 Records} *)
 

@@ -73,41 +73,42 @@ let ladder_position ~retries ~quarantined ~degraded =
   else "nominal"
 
 let healthz_json () =
-  let fl = Metrics.json_float in
   let retries = Metrics.get_counter "govern.retries"
   and quarantined = Metrics.get_counter "merge.quarantined"
   and degraded = Metrics.get_counter "merge.degraded_cliques" in
+  let open Json in
   let governance =
     match Govern.run_root () with
-    | None -> {|{"active":false}|}
+    | None -> Obj [ "active", Bool false ]
     | Some t ->
-      Printf.sprintf {|{"active":true,"scope":"%s","remaining_s":%s,"cancelled":%s}|}
-        (Metrics.json_escape (Govern.scope t))
-        (match Govern.remaining_s t with None -> "null" | Some s -> fl s)
-        (match Govern.cancelled t with
-        | None -> "false"
-        | Some r ->
-          Printf.sprintf {|"%s"|} (Metrics.json_escape (Govern.reason_code r)))
+      let cancelled =
+        match Govern.cancelled t with
+        | None -> Bool false
+        | Some r -> Str (Govern.reason_code r)
+      in
+      Obj
+        [ "active", Bool true; "scope", Str (Govern.scope t);
+          "remaining_s", option display (Govern.remaining_s t); "cancelled", cancelled ]
+  in
+  let serve (a, p) =
+    Obj [ "addr", Str a; "port", Int p; "url", Str (Printf.sprintf "http://%s:%d/" a p) ]
   in
   let memory =
-    Printf.sprintf {|{"limit_mb":%s,"over_watermark":%b}|}
-      (match Govern.memory_limit_mb () with None -> "null" | Some l -> fl l)
-      (Govern.memory_pressure () <> None)
+    [ "limit_mb", option display (Govern.memory_limit_mb ());
+      "over_watermark", Bool (Govern.memory_pressure () <> None) ]
   in
-  let serve =
-    match endpoint () with
-    | None -> "null"
-    | Some (a, p) ->
-      Printf.sprintf {|{"addr":"%s","port":%d,"url":"http://%s:%d/"}|}
-        (Metrics.json_escape a) p (Metrics.json_escape a) p
+  let counters =
+    [ "govern.retries", Int retries; "merge.quarantined", Int quarantined;
+      "merge.degraded_cliques", Int degraded ]
   in
-  Printf.sprintf
-    {|{"status":"ok","pid":%d,"uptime_s":%s,"serve":%s,"ladder":"%s","governance":%s,"memory":%s,"counters":{"govern.retries":%d,"merge.quarantined":%d,"merge.degraded_cliques":%d},"events_total":%d}|}
-    (Unix.getpid ())
-    (fl (Obs.Clock.elapsed_s started_ns))
-    serve
-    (ladder_position ~retries ~quarantined ~degraded)
-    governance memory retries quarantined degraded (Eventlog.total ())
+  to_string
+    (Obj
+       [ "status", Str "ok"; "pid", Int (Unix.getpid ());
+         "uptime_s", display (Obs.Clock.elapsed_s started_ns);
+         "serve", option serve (endpoint ());
+         "ladder", Str (ladder_position ~retries ~quarantined ~degraded);
+         "governance", governance; "memory", Obj memory; "counters", Obj counters;
+         "events_total", Int (Eventlog.total ()) ])
 
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)

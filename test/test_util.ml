@@ -645,6 +645,28 @@ let pool_cases =
         Unix.putenv "MM_JOBS" "");
   ]
 
+let atomic_file_cases =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  [
+    tc "write replaces the file and leaves no temp" (fun () ->
+        let path = "atomic_file_test.txt" in
+        Mm_util.Atomic_file.write path "old";
+        Mm_util.Atomic_file.write path "new";
+        check Alcotest.string "contents" "new" (read path);
+        check Alcotest.bool "no temp" false (Sys.file_exists (path ^ ".tmp"));
+        Sys.remove path);
+    tc "a failed rename raises and removes the temp" (fun () ->
+        (* Renaming a file over a non-empty directory fails. *)
+        let dir = "atomic_file_dir" in
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        Out_channel.with_open_bin (Filename.concat dir "x") ignore;
+        (match Mm_util.Atomic_file.write dir "data" with
+        | () -> Alcotest.fail "rename over a directory succeeded"
+        | exception Sys_error _ -> ());
+        check Alcotest.bool "no temp" false (Sys.file_exists (dir ^ ".tmp"));
+        check Alcotest.bool "target untouched" true (Sys.is_directory dir));
+  ]
+
 let () =
   Alcotest.run "mm_util"
     [
@@ -656,4 +678,5 @@ let () =
       "stat", stat_cases;
       "runlog", runlog_cases;
       "pool", pool_cases;
+      "atomic", atomic_file_cases;
     ]
